@@ -10,21 +10,48 @@ from the single ``seed`` key through named sub-streams.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 _SPLIT_CANDIDATES = ("{split}", "{split}.txt", "{split}.tsv")
 
 
+def _thread_count(raw: str) -> Optional[int]:
+    try:
+        count = int(raw)
+    except ValueError:
+        return None
+    return count if count >= 1 else None
+
+
 def _apply_thread_cap(argv: list[str]) -> None:
-    """Honor --threads before numpy is imported so BLAS pools obey it."""
-    if "--threads" not in argv:
+    """Honor ``--threads N`` / ``--threads=N`` before numpy is imported so
+    BLAS pools obey it; the flag overrides thread counts already set in the
+    environment.  A missing or malformed value is left for the argument
+    parser to reject."""
+    count = None
+    for pos, arg in enumerate(argv):
+        if arg == "--threads" and pos + 1 < len(argv):
+            count = _thread_count(argv[pos + 1])
+        elif arg.startswith("--threads="):
+            count = _thread_count(arg.partition("=")[2])
+    if count is None:
         return
-    value = argv[argv.index("--threads") + 1]
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, value)
+        os.environ[var] = str(count)
+
+
+def _positive_int(raw: str) -> int:
+    count = _thread_count(raw)
+    if count is None:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {raw!r}"
+        )
+    return count
 
 
 def parse_config_file(path) -> tuple[dict[str, str], dict[str, str]]:
@@ -337,13 +364,17 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated flags: the thread-cap pre-scan matches ``--threads``
+    # exactly, so ``--thread 2`` must not parse as if it had been honored.
     parser = argparse.ArgumentParser(
         prog="tkgc",
         description="Temporal knowledge-graph completion experiments",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("ingest", help="encode raw benchmark files")
+    p = add("ingest", help="encode raw benchmark files")
     p.add_argument("directory", help="directory with train/valid/test files")
     p.add_argument("--format", choices=("icews", "yago15k"), required=True)
     p.add_argument("--out", required=True, help="encoded dataset path")
@@ -352,14 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="test filename override")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
+    p = add("train", help="train a model and write a checkpoint")
     p.add_argument("--dataset", required=True, help="encoded dataset path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", help="cap BLAS worker threads")
+    p.add_argument("--threads", type=_positive_int,
+                   help="cap BLAS worker threads")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
+    p = add("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="metrics report path (JSON)")
@@ -368,17 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-policy",
                    choices=("pessimistic", "optimistic", "mean"),
                    default="pessimistic")
-    p.add_argument("--threads", help="cap BLAS worker threads")
+    p.add_argument("--threads", type=_positive_int,
+                   help="cap BLAS worker threads")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grid", help="grid search over hyperparameters")
+    p = add("grid", help="grid search over hyperparameters")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", help="cap BLAS worker threads")
+    p.add_argument("--threads", type=_positive_int,
+                   help="cap BLAS worker threads")
     _add_config_flags(p)
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("plot-norms", help="emit norm curve CSV")
+    p = add("plot-norms", help="emit norm curve CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--families", default="L1,N2,N3,N4,N5",
                    help="comma-separated labels, e.g. N2,N5,L1")
@@ -387,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=401)
     p.set_defaults(func=cmd_plot_norms)
 
-    p = sub.add_parser("inspect", help="describe a checkpoint or dataset file")
+    p = add("inspect", help="describe a checkpoint or dataset file")
     p.add_argument("path")
     p.set_defaults(func=cmd_inspect)
     return parser

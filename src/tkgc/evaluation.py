@@ -27,6 +27,11 @@ DEFAULT_HITS = (1, 3, 10)
 _CHUNK = 512
 
 
+class NonFiniteScoreError(RuntimeError):
+    """Raised instead of ranking NaN or infinite scores, which compare false
+    and would rank every true answer first."""
+
+
 @dataclass
 class Metrics:
     """Filtered MRR and Hits@k, with the per-direction breakdown attached."""
@@ -111,6 +116,14 @@ def _direction_ranks(
         scores = score_all_objects_batch(
             params, block[:, 0], block[:, 1], block[:, 2]
         )
+        true_scores = scores[np.arange(block.shape[0]), answers[start:stop]]
+        bad = np.flatnonzero(~np.isfinite(true_scores))
+        if bad.size:
+            query = tuple(int(x) for x in block[bad[0]])
+            raise NonFiniteScoreError(
+                f"non-finite score {true_scores[bad[0]]} for the true answer "
+                f"of query (subject, relation, timestamp) = {query}"
+            )
         for pos in range(block.shape[0]):
             subject, relation, timestamp = (int(x) for x in block[pos])
             key = (subject, relation, timestamp)
@@ -152,6 +165,11 @@ def evaluate(
     quads = np.asarray(quads)
     if quads.shape[0] == 0:
         raise ValueError("cannot evaluate zero queries")
+    bad_tensor = params.first_nonfinite()
+    if bad_tensor is not None:
+        raise NonFiniteScoreError(
+            f"cannot rank: tensor {bad_tensor} holds non-finite values"
+        )
     n_rel = params.n_relations
     right_queries = quads[:, [0, 1, 3]]
     right_answers = quads[:, 2]

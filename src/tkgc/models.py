@@ -36,13 +36,14 @@ for its model and vocabulary sizes.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import cmul, complex_rank, rng_stream
+from .core import cmul, complex_rank, rng_stream, row_blocks, scatter_add_rows
 
 TCOMPLEX = "tcomplex"
 TNTCOMPLEX = "tntcomplex"
@@ -184,6 +185,13 @@ class ModelParams:
             tensors.update(self.recurrent.named_tensors())
         return tensors
 
+    def first_nonfinite(self) -> Optional[str]:
+        """Name of the first trainable tensor holding a NaN or an infinity."""
+        for name, arr in self.named_tensors().items():
+            if not np.isfinite(arr).all():
+                return name
+        return None
+
     def set_tensor(self, name: str, value: np.ndarray) -> None:
         if name.startswith("rnn."):
             self.recurrent.set_tensor(name, value)
@@ -231,7 +239,9 @@ def init_params(
         rng = rng_stream(seed, "init")
 
     def draw(rows: int, width: int) -> np.ndarray:
-        return (scale * rng.standard_normal((rows, width))).astype(dtype)
+        table = rng.standard_normal((rows, width))
+        table *= scale
+        return table.astype(dtype, copy=False)
 
     kwargs = {
         "entity": draw(n_entities, 2 * spec.rank),
@@ -286,11 +296,16 @@ def _check_ids(idx: np.ndarray, bound: int, what: str) -> np.ndarray:
 def _cmul_conj(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """g (.) conj(b): the backward rule through one complex Hadamard factor."""
     d = complex_rank(g)
-    gr, gi = g[..., :d], g[..., d:]
-    br, bi = b[..., :d], b[..., d:]
+    b = np.broadcast_to(b, g.shape)
     out = np.empty_like(g)
-    out[..., :d] = gr * br + gi * bi
-    out[..., d:] = gi * br - gr * bi
+    for rows in row_blocks(g.shape):
+        gr, gi = g[rows][..., :d], g[rows][..., d:]
+        br, bi = b[rows][..., :d], b[rows][..., d:]
+        re, im = out[rows][..., :d], out[rows][..., d:]
+        np.multiply(gr, br, out=re)
+        re += gi * bi
+        np.multiply(gi, br, out=im)
+        im -= gr * bi
     return out
 
 
@@ -323,7 +338,9 @@ def relation_factor(
         jt = params.relation_temporal[relations]
         js = params.relation[relations]
         cache["jt"] = jt
-        return cmul(jt, t) + js, cache
+        v = cmul(jt, t)
+        v += js
+        return v, cache
     j = params.relation[relations]
     rot = params.rotation[relations]
     base = _concat_complex(j, t)
@@ -346,18 +363,21 @@ def relation_factor_backward(
     timestamps = cache["timestamps"]
     t = cache["t"]
     if spec.model == TCOMPLEX:
-        np.add.at(grads["relation"], relations, _cmul_conj(grad_v, t))
-        np.add.at(grad_time, timestamps, _cmul_conj(grad_v, cache["j"]))
+        scatter_add_rows(grads["relation"], relations, _cmul_conj(grad_v, t))
+        scatter_add_rows(grad_time, timestamps, _cmul_conj(grad_v, cache["j"]))
     elif spec.model == TNTCOMPLEX:
-        np.add.at(grads["relation"], relations, grad_v)
-        np.add.at(
+        scatter_add_rows(grads["relation"], relations, grad_v)
+        scatter_add_rows(
             grads["relation_temporal"], relations, _cmul_conj(grad_v, t)
         )
-        np.add.at(grad_time, timestamps, _cmul_conj(grad_v, cache["jt"]))
+        scatter_add_rows(
+            grad_time, timestamps, _cmul_conj(grad_v, cache["jt"])
+        )
     else:
-        d_j, d_t = spec.rank_relation, spec.rank_time
-        d = spec.rank
-        np.add.at(grads["rotation"], relations, _cmul_conj(grad_v, cache["base"]))
+        d_j, d = spec.rank_relation, spec.rank
+        scatter_add_rows(
+            grads["rotation"], relations, _cmul_conj(grad_v, cache["base"])
+        )
         g_base = _cmul_conj(grad_v, cache["rot"])
         g_rel = np.concatenate(
             [g_base[..., :d_j], g_base[..., d:d + d_j]], axis=-1
@@ -365,8 +385,8 @@ def relation_factor_backward(
         g_time = np.concatenate(
             [g_base[..., d_j:d], g_base[..., d + d_j:]], axis=-1
         )
-        np.add.at(grads["relation"], relations, g_rel)
-        np.add.at(grad_time, timestamps, g_time)
+        scatter_add_rows(grads["relation"], relations, g_rel)
+        scatter_add_rows(grad_time, timestamps, g_time)
 
 
 def tail_matrix(params: ModelParams) -> np.ndarray:
@@ -542,10 +562,16 @@ def read_checkpoint_header(path) -> dict:
         ) = _HEADER.unpack(head)
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        tables = []
-        for _ in range(n_tables):
-            name, rows, cols = _TABLE_ENTRY.unpack(fh.read(_TABLE_ENTRY.size))
-            tables.append((_unpad(name), int(rows), int(cols)))
+        # Check the size before reading: a corrupt count would otherwise
+        # make the read allocate up to ~171 GB.
+        dir_size = n_tables * _TABLE_ENTRY.size
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + dir_size:
+            raise CheckpointFormatError(f"{path}: truncated table directory")
+        directory = fh.read(dir_size)
+        tables = [
+            (_unpad(name), int(rows), int(cols))
+            for name, rows, cols in _TABLE_ENTRY.iter_unpack(directory)
+        ]
     return {
         "model": _unpad(model),
         "rank": rank,
@@ -572,13 +598,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     header = read_checkpoint_header(path)
     dtype = np.dtype(header["precision"])
     offset = _HEADER.size + len(header["tables"]) * _TABLE_ENTRY.size
+    floats = sum(rows * cols for _, rows, cols in header["tables"])
+    expected = offset + 8 * floats
     tensors = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise CheckpointFormatError(f"{path}: truncated table data")
+        if size > expected:
+            raise CheckpointFormatError(f"{path}: trailing bytes in container")
         fh.seek(offset)
         for name, rows, cols in header["tables"]:
             raw = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            if raw.size != rows * cols:
-                raise CheckpointFormatError(f"{path}: truncated table {name}")
             tensors[name] = raw.reshape(rows, cols).astype(dtype)
     spec = ModelSpec(
         model=header["model"],

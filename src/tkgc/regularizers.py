@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from .core import complex_moduli
+
 FAMILIES = ("none", "N", "L", "linear3", "recurrent")
 RECURRENT_VARIANTS = (
     "rnn", "lstm", "gru", "linear_rnn", "linear_lstm", "linear_gru"
@@ -91,13 +93,7 @@ def parse_reg_spec(name: str, p: int = 3, hidden_size: int = 8) -> TemporalRegSp
 
 
 def _component_moduli(arr: np.ndarray, complex_pairs: bool) -> np.ndarray:
-    if not complex_pairs:
-        return np.abs(arr)
-    width = arr.shape[-1]
-    if width % 2 != 0:
-        raise ValueError("split-half storage must have an even width")
-    half = width // 2
-    return np.sqrt(arr[..., :half] ** 2 + arr[..., half:] ** 2)
+    return complex_moduli(arr) if complex_pairs else np.abs(arr)
 
 
 def emb_reg_n3(
@@ -116,18 +112,23 @@ def emb_reg_n3(
     return total / 3.0
 
 
-def n3_terms(factors: np.ndarray) -> np.ndarray:
-    """Per-row (1/3) sum of modulus cubes for a batch of split-half factors."""
-    return np.sum(_component_moduli(factors, True) ** 3, axis=-1) / 3.0
+def n3_terms(moduli: np.ndarray) -> np.ndarray:
+    """Per-row (1/3) sum of modulus cubes for a batch of split-half factors,
+    given their ``complex_moduli``."""
+    return np.sum(moduli * moduli * moduli, axis=-1) / 3.0
 
 
-def n3_terms_grad(factors: np.ndarray) -> np.ndarray:
-    """Gradient of ``n3_terms`` w.r.t. the storage entries: modulus times the
-    entry, per complex component."""
-    half = factors.shape[-1] // 2
-    m = _component_moduli(factors, True)
-    weights = np.concatenate([m, m], axis=-1)
-    return weights * factors
+def n3_terms_grad(factors: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Gradient of ``n3_terms`` w.r.t. the storage entries of ``factors``:
+    modulus times the entry, per complex component.
+
+    Linear in ``moduli``: passing them pre-scaled scales the gradient.
+    """
+    half = moduli.shape[-1]
+    grad = np.empty_like(factors)
+    np.multiply(moduli, factors[..., :half], out=grad[..., :half])
+    np.multiply(moduli, factors[..., half:], out=grad[..., half:])
+    return grad
 
 
 # ---------------------------------------------------------------------------

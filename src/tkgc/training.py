@@ -30,7 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DatasetSplits, cmul, rng_stream
+from .core import (
+    DatasetSplits,
+    cmul,
+    complex_moduli,
+    rng_stream,
+    row_blocks,
+    scatter_add_rows,
+)
 from .datasets import build_filter_index
 from .evaluation import Metrics, evaluate
 from .models import (
@@ -161,11 +168,14 @@ def materialize_timestamps(params: ModelParams, time_offset: int = 0) -> None:
     ).astype(params.dtype)
 
 
-def _find_nonfinite(params: ModelParams, scores: np.ndarray) -> str:
-    for name, arr in params.named_tensors().items():
-        if not np.all(np.isfinite(arr)):
-            return name
-    if not np.all(np.isfinite(scores)):
+def _find_nonfinite(
+    params: ModelParams, q: np.ndarray, tails: np.ndarray
+) -> str:
+    name = params.first_nonfinite()
+    if name is not None:
+        return name
+    # Recomputed: the step overwrites its score matrix with the gradient.
+    if not np.all(np.isfinite(q @ tails.T)):
         return "scores"
     return "loss"
 
@@ -178,6 +188,30 @@ def _temporal_value(
     if reg.family == "L":
         return temporal_lp(chrono, reg.p, complex_pairs=True)
     return linear3(chrono, bias, reg.p, complex_pairs=True)
+
+
+def _softmax_cross_entropy(
+    scores: np.ndarray, objects: np.ndarray
+) -> np.ndarray:
+    """Per-row multi-class loss ``logsumexp(scores) - scores[object]``.
+
+    Overwrites ``scores``, one block of rows at a time, with the gradient of
+    the mean loss, ``(softmax - onehot(objects)) / n``: the exponentials
+    summed for the log-sum-exp become the softmax.
+    """
+    n = scores.shape[0]
+    losses = -scores[np.arange(n), objects]
+    for rows in row_blocks(scores.shape):
+        block = scores[rows]
+        peak = block.max(axis=1, keepdims=True)
+        block -= peak
+        np.exp(block, out=block)
+        total = block.sum(axis=1, keepdims=True)
+        losses[rows] += peak[:, 0] + np.log(total[:, 0])
+        block /= total
+        block[np.arange(block.shape[0]), objects[rows]] -= 1.0
+        block /= n
+    return losses
 
 
 def batch_loss(
@@ -212,17 +246,16 @@ def batch_loss(
     heads = params.entity[subjects]
     q = cmul(heads, v)
     tails = tail_matrix(params)
-    scores = q @ tails.T
-    row = np.arange(n)
-    peak = scores.max(axis=1, keepdims=True)
-    logsum = peak[:, 0] + np.log(np.sum(np.exp(scores - peak), axis=1))
-    loss_fit = float(np.mean(logsum - scores[row, objects]))
+    g_scores = q @ tails.T
+    loss_fit = float(np.mean(_softmax_cross_entropy(g_scores, objects)))
 
     loss_emb = 0.0
-    true_tails = params.entity[objects]
     if config.lambda1 != 0.0:
+        n3_factors = (heads, v, params.entity[objects])
+        n3_moduli = [complex_moduli(f) for f in n3_factors]
+        terms = [n3_terms(m) for m in n3_moduli]
         loss_emb = config.lambda1 * float(
-            np.mean(n3_terms(heads) + n3_terms(v) + n3_terms(true_tails))
+            np.mean(terms[0] + terms[1] + terms[2])
         )
 
     additive = reg.family in ("N", "L", "linear3") and config.lambda2 != 0.0
@@ -240,32 +273,32 @@ def batch_loss(
     if not np.isfinite(loss):
         raise NonFiniteLossError(
             f"non-finite loss; first offending tensor: "
-            f"{_find_nonfinite(params, scores)}"
+            f"{_find_nonfinite(params, q, tails)}"
         )
     if not compute_grads:
         return loss, None
 
-    # Softmax cross-entropy gradient on the score matrix.
-    g_scores = np.exp(scores - logsum[:, None])
-    g_scores[row, objects] -= 1.0
-    g_scores /= n
-
-    grads = {k: np.zeros_like(a) for k, a in params.named_tensors().items()}
-    g_entity = grads["entity"]
-    g_entity += g_scores.T @ q
+    g_entity = g_scores.T @ q
     if not params.spec.tail_conjugation:
         g_entity[:, params.spec.rank:] *= -1.0
     g_q = g_scores @ tails
+    del g_scores  # release the (n, |E|) matrix before the row-sized work
     g_heads = _cmul_conj(g_q, v)
     g_v = _cmul_conj(g_q, heads)
     if config.lambda1 != 0.0:
         coef = config.lambda1 / n
-        g_heads += coef * n3_terms_grad(heads)
-        g_v += coef * n3_terms_grad(v)
-        np.add.at(g_entity, objects, coef * n3_terms_grad(true_tails))
-    np.add.at(g_entity, subjects, g_heads)
+        g_n3 = [n3_terms_grad(f, coef * m)
+                for f, m in zip(n3_factors, n3_moduli)]
+        g_heads += g_n3[0]
+        g_v += g_n3[1]
+        scatter_add_rows(g_entity, objects, g_n3[2])
+    scatter_add_rows(g_entity, subjects, g_heads)
 
-    g_time = np.zeros_like(time_table)
+    grads = {
+        name: g_entity if name == "entity" else np.zeros_like(arr)
+        for name, arr in params.named_tensors().items()
+    }
+    g_time = np.zeros_like(time_table) if recurrent else grads["timestamp"]
     relation_factor_backward(params, vcache, g_v, grads, g_time)
     if additive:
         g_time[time_offset:] += config.lambda2 * g_chrono
@@ -279,8 +312,6 @@ def batch_loss(
         for name, arr in rnn_grads.items():
             grads[f"rnn.{name}"] += arr
         grads["timestamp"][:time_offset] = g_time[:time_offset]
-    else:
-        grads["timestamp"] += g_time
 
     touched: dict[str, Optional[np.ndarray]] = {name: None for name in grads}
     relation_rows = np.unique(batch[:, 1])
@@ -292,6 +323,49 @@ def batch_loss(
     elif not additive:
         touched["timestamp"] = np.unique(batch[:, 3])
     return loss, GradientSet(tensors=grads, touched=touched)
+
+
+def _adam_update(
+    param: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+    config: TrainConfig, bc1: float, bc2: float,
+    rows: Optional[np.ndarray] = None,
+) -> None:
+    """In-place Adam update of ``param`` and its moments ``m``, ``v``, on
+    every row or only on the (unique) ``rows``:
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        param -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+
+    The update runs over cache-sized blocks of rows, gathered first when
+    ``rows`` is given, with the operations of these whole-array expressions
+    in their order: the result is bitwise the same, without full-size
+    temporaries.
+    """
+    b1, b2 = config.beta1, config.beta2
+    n = param.shape[0] if rows is None else rows.size
+    scratch = None
+    for block in row_blocks((n,) + param.shape[1:]):
+        index = block if rows is None else rows[block]
+        p, mb, vb, gb = param[index], m[index], v[index], g[index]
+        if scratch is None:
+            scratch = np.empty((2,) + p.shape, p.dtype)
+        t, u = scratch[0, : len(p)], scratch[1, : len(p)]
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=t)
+        mb += t
+        vb *= b2
+        np.multiply(gb, gb, out=t)
+        t *= 1.0 - b2
+        vb += t
+        np.divide(vb, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += config.epsilon
+        np.divide(mb, bc1, out=u)
+        u *= config.learning_rate
+        u /= t
+        p -= u
+        if rows is not None:
+            param[index], m[index], v[index] = p, mb, vb
 
 
 def adam_step(
@@ -313,23 +387,8 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {g.shape} does not match {name} {param.shape}"
             )
-        rows = grads.touched.get(name)
-        m, v = state.m[name], state.v[name]
-        if rows is None:
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * (g * g)
-            denom = np.sqrt(v / bc2) + config.epsilon
-            param -= config.learning_rate * (m / bc1) / denom
-        elif rows.size:
-            g_rows = g[rows]
-            m[rows] = config.beta1 * m[rows] + (1.0 - config.beta1) * g_rows
-            v[rows] = config.beta2 * v[rows] + (1.0 - config.beta2) * (
-                g_rows * g_rows
-            )
-            denom = np.sqrt(v[rows] / bc2) + config.epsilon
-            param[rows] -= config.learning_rate * (m[rows] / bc1) / denom
+        _adam_update(param, state.m[name], state.v[name], g, config, bc1, bc2,
+                     rows=grads.touched.get(name))
     return state
 
 

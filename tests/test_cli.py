@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import shift_dataset
-from tkgc.cli import main
+from tkgc.cli import _apply_thread_cap, main
 from tkgc.core import DatasetSplits, Vocabulary
 from tkgc.datasets import dataset_hash, save_dataset
 from tkgc.models import ModelParams, ModelSpec, save_checkpoint
@@ -357,3 +361,68 @@ class TestInspect:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"garbage!" * 4)
         assert main(["inspect", str(path)]) == 1
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestThreadCap:
+    """``--threads`` is applied to the environment before numpy loads; the
+    tests only inspect the environment, they start no BLAS pool."""
+
+    @pytest.fixture
+    def preset_env(self, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "7")
+
+    def test_flag_overrides_environment(self, preset_env):
+        _apply_thread_cap(["train", "--threads", "2", "--dataset", "x"])
+        assert all(os.environ[var] == "2" for var in THREAD_VARS)
+
+    def test_equals_form_is_honored(self, preset_env):
+        _apply_thread_cap(["eval", "--threads=3"])
+        assert all(os.environ[var] == "3" for var in THREAD_VARS)
+
+    def test_without_flag_environment_kept(self, preset_env):
+        _apply_thread_cap(["train", "--dataset", "x"])
+        assert all(os.environ[var] == "7" for var in THREAD_VARS)
+
+    @pytest.mark.parametrize("argv", (
+        ["train", "--dataset", "x", "--out", "y", "--threads"],
+        ["train", "--dataset", "x", "--out", "y", "--threads", "0"],
+        ["train", "--dataset", "x", "--out", "y", "--threads=many"],
+    ))
+    def test_missing_or_bad_value_is_usage_error(self, preset_env, argv,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert all(os.environ[var] == "7" for var in THREAD_VARS)
+
+    def test_abbreviated_flag_is_usage_error(self, preset_env, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", "x", "--out", "y", "--thread", "2"])
+        assert exc.value.code == 2
+        assert all(os.environ[var] == "7" for var in THREAD_VARS)
+
+    def test_cap_is_applied_before_numpy_loads(self):
+        # BLAS reads the thread caps once, when numpy loads it; so the cap
+        # must run in a fresh interpreter that has imported only tkgc.cli,
+        # as the console script and ``python -m tkgc.cli`` do.
+        probe = (
+            "import sys\n"
+            "import tkgc.cli as cli\n"
+            "def spy(argv):\n"
+            "    print('numpy' in sys.modules)\n"
+            "    raise SystemExit(0)\n"
+            "cli._apply_thread_cap = spy\n"
+            "cli.main(['train', '--threads', '1'])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

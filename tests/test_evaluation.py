@@ -4,7 +4,12 @@ import pytest
 from conftest import make_params, oracle_evaluate_ranks, random_dataset
 from tkgc.core import DatasetSplits, Vocabulary
 from tkgc.datasets import augment_reciprocal, build_filter_index
-from tkgc.evaluation import _rank_from_scores, evaluate, rank_query
+from tkgc.evaluation import (
+    NonFiniteScoreError,
+    _rank_from_scores,
+    evaluate,
+    rank_query,
+)
 from tkgc.models import (
     CHRONOR,
     TCOMPLEX,
@@ -239,3 +244,40 @@ class TestEvaluate:
         ))
         with pytest.raises(KeyError, match="contract"):
             evaluate(params, quads, empty_index)
+
+
+class TestNonFiniteScores:
+    """NaN compares false, so ranking NaN scores would put every true answer
+    first (an all-NaN model used to score MRR 1.0)."""
+
+    @staticmethod
+    def _setup(model, rng):
+        splits = augment_reciprocal(random_dataset(rng, 8, 3, 4))
+        params = make_params(model, rng, n_entities=8,
+                             n_relations=splits.vocabulary.n_relations,
+                             n_timestamps=splits.vocabulary.n_timestamps)
+        return params, splits.test, build_filter_index(splits)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_all_nan_entity_table_raises_naming_it(self, model):
+        params, quads, index = self._setup(model, np.random.default_rng(30))
+        params.entity[:] = np.nan
+        with pytest.raises(NonFiniteScoreError, match="entity"):
+            evaluate(params, quads, index)
+
+    def test_first_nonfinite_tensor_is_named(self):
+        params, quads, index = self._setup(TNTCOMPLEX,
+                                           np.random.default_rng(31))
+        params.timestamp[0, 0] = np.inf
+        with pytest.raises(NonFiniteScoreError, match="timestamp"):
+            evaluate(params, quads, index)
+
+    def test_overflowing_true_score_raises(self):
+        # Finite tables whose scores overflow to infinity.
+        params, quads, index = self._setup(TCOMPLEX,
+                                           np.random.default_rng(32))
+        for table in (params.entity, params.relation, params.timestamp):
+            table[:] = 1e120
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteScoreError, match="true answer"):
+            evaluate(params, quads, index)

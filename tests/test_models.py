@@ -7,12 +7,14 @@ from tkgc.models import (
     CHRONOR,
     TCOMPLEX,
     TNTCOMPLEX,
+    CheckpointFormatError,
     ModelParams,
     ModelSpec,
     checkpoint_float_count,
     init_params,
     load_checkpoint,
     param_count,
+    read_checkpoint_header,
     save_checkpoint,
     score,
     score_all_objects,
@@ -376,3 +378,47 @@ class TestCheckpoint:
         assert header["precision"] == "float32"
         assert loaded.dtype == np.float32
         assert np.array_equal(loaded.entity, params.entity)
+
+    def test_truncated_table_directory_rejected(self, tmp_path):
+        params = make_params(TNTCOMPLEX, np.random.default_rng(15))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        n_tables = len(params.named_tensors())
+        header_size = len(path.read_bytes()) - 8 * sum(
+            a.size for a in params.named_tensors().values()) - 40 * n_tables
+        path.write_bytes(path.read_bytes()[: header_size + 40 * n_tables - 5])
+        for reader in (read_checkpoint_header, load_checkpoint):
+            with pytest.raises(CheckpointFormatError, match="directory"):
+                reader(path)
+
+    def test_huge_table_count_rejected_without_reading(self, tmp_path):
+        params = make_params(TCOMPLEX, np.random.default_rng(18))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        raw = bytearray(path.read_bytes())
+        tensors = params.named_tensors()
+        # The u32 table count ends the fixed header, before the directory.
+        count_at = len(raw) - 8 * sum(a.size for a in tensors.values()) \
+            - 40 * len(tensors) - 4
+        assert int.from_bytes(raw[count_at:count_at + 4], "little") \
+            == len(tensors)
+        raw[count_at:count_at + 4] = (2**32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="directory"):
+            read_checkpoint_header(path)
+
+    def test_truncated_table_data_rejected(self, tmp_path):
+        params = make_params(TCOMPLEX, np.random.default_rng(16))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        params = make_params(CHRONOR, np.random.default_rng(17))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointFormatError, match="trailing"):
+            load_checkpoint(path)
