@@ -13,7 +13,7 @@ import importlib
 _EXPORTS = {
     "core": (
         "DatasetSplits", "Quadruple", "Vocabulary", "complex_trilinear",
-        "conjugate", "inverse_relation", "reciprocal_quadruple",
+        "conjugate", "inverse_relation",
     ),
     "datasets": (
         "FilterIndex", "RawFact", "augment_reciprocal", "build_dataset",
@@ -24,10 +24,9 @@ _EXPORTS = {
     "models": (
         "ModelParams", "ModelSpec", "init_params", "load_checkpoint",
         "param_count", "save_checkpoint", "score", "score_all_objects",
-        "score_chronor", "score_tcomplex", "score_tntcomplex",
     ),
     "regularizers": (
-        "RecurrentParams", "TemporalRegSpec", "emb_reg_n3", "linear3",
+        "RecurrentParams", "TemporalRegSpec", "linear3",
         "norm_curve", "recurrent_generate", "temporal_lp", "temporal_np",
     ),
     "training": (

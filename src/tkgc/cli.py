@@ -217,9 +217,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ds_hash = dataset_hash(args.dataset)
 
-    state, history = train(splits, config)
-    params = state.best_params
     filter_index = build_filter_index(splits)
+    state, history = train(splits, config, filter_index=filter_index)
+    params = state.best_params
     valid_metrics = (
         evaluate(params, splits.valid, filter_index)
         if splits.valid.shape[0] else None

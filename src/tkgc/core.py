@@ -51,16 +51,6 @@ def inverse_relation(relation: int, n_relations: int) -> int:
     return relation + half if relation < half else relation - half
 
 
-def reciprocal_quadruple(quad: Quadruple, n_relations: int) -> Quadruple:
-    """Swap subject and object and invert the relation; involutive."""
-    return Quadruple(
-        quad.object,
-        inverse_relation(quad.relation, n_relations),
-        quad.subject,
-        quad.timestamp,
-    )
-
-
 @dataclass
 class Vocabulary:
     """Bidirectional string<->id maps for entities, relations and timestamps.
@@ -156,6 +146,14 @@ class DatasetSplits:
         n = self.vocabulary.n_relations
         return n // 2 if self.reciprocal else n
 
+    def content_hash(self) -> str:
+        """Stable hash of the three splits and the vocabulary."""
+        h = hashlib.sha256(self.vocabulary.content_hash().encode())
+        for arr in self.splits().values():
+            h.update(str(arr.shape).encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
+
 
 # ---------------------------------------------------------------------------
 # Split-half complex vector helpers.
@@ -169,17 +167,10 @@ def complex_rank(storage: np.ndarray) -> int:
     return width // 2
 
 
-def real_part(storage: np.ndarray) -> np.ndarray:
-    return storage[..., : complex_rank(storage)]
-
-
-def imag_part(storage: np.ndarray) -> np.ndarray:
-    return storage[..., complex_rank(storage):]
-
-
 def to_complex(storage: np.ndarray) -> np.ndarray:
     """View split-half storage as an ``np.complex128`` array of rank d."""
-    return real_part(storage) + 1j * imag_part(storage)
+    d = complex_rank(storage)
+    return storage[..., :d] + 1j * storage[..., d:]
 
 
 def from_complex(z: np.ndarray) -> np.ndarray:

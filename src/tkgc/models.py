@@ -50,6 +50,24 @@ TNTCOMPLEX = "tntcomplex"
 CHRONOR = "chronor"
 MODEL_TAGS = (TCOMPLEX, TNTCOMPLEX, CHRONOR)
 
+# Each model's embedding tables in init-draw and serialization order:
+# (name, rows: Entities/Relations/Timestamps, ModelSpec field giving the
+# complex width).
+_TABLES = {
+    TCOMPLEX: (
+        ("entity", "E", "rank"), ("relation", "R", "rank"),
+        ("timestamp", "T", "time_rank"),
+    ),
+    TNTCOMPLEX: (
+        ("entity", "E", "rank"), ("relation", "R", "rank"),
+        ("relation_temporal", "R", "rank"), ("timestamp", "T", "time_rank"),
+    ),
+    CHRONOR: (
+        ("entity", "E", "rank"), ("relation", "R", "rank_relation"),
+        ("rotation", "R", "rank"), ("timestamp", "T", "time_rank"),
+    ),
+}
+
 CHECKPOINT_MAGIC = b"TKGCKPT1"
 CHECKPOINT_VERSION = 1
 
@@ -103,7 +121,15 @@ class ModelSpec:
 
     @property
     def time_rank(self) -> int:
-        return self.rank_time if self.model == CHRONOR else self.rank
+        return self.rank_time
+
+    def table_shapes(
+        self, n_entities: int, n_relations: int, n_timestamps: int
+    ) -> dict[str, tuple[int, int]]:
+        """Storage shape of each embedding table, in declaration order."""
+        rows = {"E": n_entities, "R": n_relations, "T": n_timestamps}
+        return {name: (rows[axis], 2 * getattr(self, width))
+                for name, axis, width in _TABLES[self.model]}
 
 
 @dataclass
@@ -129,20 +155,9 @@ class ModelParams:
         self.validate_shapes()
 
     def validate_shapes(self) -> None:
-        spec = self.spec
-        expect = {
-            "entity": (self.n_entities, 2 * spec.rank),
-            "timestamp": (self.n_timestamps, 2 * spec.time_rank),
-        }
-        if spec.model == TCOMPLEX:
-            expect["relation"] = (self.n_relations, 2 * spec.rank)
-        elif spec.model == TNTCOMPLEX:
-            expect["relation"] = (self.n_relations, 2 * spec.rank)
-            expect["relation_temporal"] = (self.n_relations, 2 * spec.rank)
-        else:
-            expect["relation"] = (self.n_relations, 2 * spec.rank_relation)
-            expect["rotation"] = (self.n_relations, 2 * spec.rank)
-        for name, shape in expect.items():
+        for name, shape in self.spec.table_shapes(
+            self.n_entities, self.n_relations, self.n_timestamps
+        ).items():
             arr = getattr(self, name)
             if arr is None or arr.shape != shape:
                 raise ValueError(
@@ -168,13 +183,7 @@ class ModelParams:
 
     def model_tables(self) -> dict[str, np.ndarray]:
         """Embedding tables in their declared serialization order."""
-        tables = {"entity": self.entity, "relation": self.relation}
-        if self.spec.model == TNTCOMPLEX:
-            tables["relation_temporal"] = self.relation_temporal
-        elif self.spec.model == CHRONOR:
-            tables["rotation"] = self.rotation
-        tables["timestamp"] = self.timestamp
-        return tables
+        return {name: getattr(self, name) for name, _, _ in _TABLES[self.spec.model]}
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """All trainable tensors: model tables then auxiliary parameters."""
@@ -201,14 +210,7 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(
             spec=self.spec,
-            entity=self.entity.copy(),
-            relation=self.relation.copy(),
-            timestamp=self.timestamp.copy(),
-            relation_temporal=(
-                None if self.relation_temporal is None
-                else self.relation_temporal.copy()
-            ),
-            rotation=None if self.rotation is None else self.rotation.copy(),
+            **{name: arr.copy() for name, arr in self.model_tables().items()},
             linear3_bias=(
                 None if self.linear3_bias is None else self.linear3_bias.copy()
             ),
@@ -238,22 +240,14 @@ def init_params(
     if rng is None:
         rng = rng_stream(seed, "init")
 
-    def draw(rows: int, width: int) -> np.ndarray:
-        table = rng.standard_normal((rows, width))
+    tables = {}
+    for name, shape in spec.table_shapes(
+        n_entities, n_relations, n_timestamps
+    ).items():
+        table = rng.standard_normal(shape)
         table *= scale
-        return table.astype(dtype, copy=False)
-
-    kwargs = {
-        "entity": draw(n_entities, 2 * spec.rank),
-        "relation": draw(n_relations, 2 * spec.rank_relation
-                         if spec.model == CHRONOR else 2 * spec.rank),
-    }
-    if spec.model == TNTCOMPLEX:
-        kwargs["relation_temporal"] = draw(n_relations, 2 * spec.rank)
-    elif spec.model == CHRONOR:
-        kwargs["rotation"] = draw(n_relations, 2 * spec.rank)
-    kwargs["timestamp"] = draw(n_timestamps, 2 * spec.time_rank)
-    return ModelParams(spec=spec, **kwargs)
+        tables[name] = table.astype(dtype, copy=False)
+    return ModelParams(spec=spec, **tables)
 
 
 def param_count(
@@ -263,22 +257,12 @@ def param_count(
 
     ``n_base_relations`` is the pre-reciprocal relation count; the tables are
     sized for 2x that many relations.  TComplEx counts 2d(E + T + 2R) and
-    TNTComplEx 2d(E + T + 4R).  ChronoR is counted from its actual table
-    shapes (entity E x 2d, relation 2R x 2d_j, rotation 2R x 2d, timestamp
-    T x 2d_t), which is below the TNTComplEx figure whenever d_t < d.
+    TNTComplEx 2d(E + T + 4R).  ChronoR (entity E x 2d, relation 2R x 2d_j,
+    rotation 2R x 2d, timestamp T x 2d_t) is below the TNTComplEx figure
+    whenever d_t < d.
     """
-    d = spec.rank
-    e, r, t = n_entities, n_base_relations, n_timestamps
-    if spec.model == TCOMPLEX:
-        return 2 * d * (e + t + 2 * r)
-    if spec.model == TNTCOMPLEX:
-        return 2 * d * (e + t + 4 * r)
-    return (
-        e * 2 * d
-        + 2 * r * 2 * spec.rank_relation
-        + 2 * r * 2 * d
-        + t * 2 * spec.rank_time
-    )
+    shapes = spec.table_shapes(n_entities, 2 * n_base_relations, n_timestamps)
+    return sum(rows * cols for rows, cols in shapes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +404,6 @@ def score_batch(
 def score(params: ModelParams, quad) -> float:
     """Score one quadruple with whichever model ``params`` carries."""
     return float(score_batch(params, np.asarray(quad, dtype=np.int64))[0])
-
-
-def score_tcomplex(params: ModelParams, quad) -> float:
-    if params.spec.model != TCOMPLEX:
-        raise ValueError(f"params are for {params.spec.model}, not {TCOMPLEX}")
-    return score(params, quad)
-
-
-def score_tntcomplex(params: ModelParams, quad) -> float:
-    if params.spec.model != TNTCOMPLEX:
-        raise ValueError(f"params are for {params.spec.model}, not {TNTCOMPLEX}")
-    return score(params, quad)
-
-
-def score_chronor(params: ModelParams, quad) -> float:
-    if params.spec.model != CHRONOR:
-        raise ValueError(f"params are for {params.spec.model}, not {CHRONOR}")
-    return score(params, quad)
 
 
 def score_all_objects_batch(
@@ -611,15 +577,17 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         for name, rows, cols in header["tables"]:
             raw = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
             tensors[name] = raw.reshape(rows, cols).astype(dtype)
+    # The other models ignore the stored split and use the full rank.
     spec = ModelSpec(
         model=header["model"],
         rank=header["rank"],
-        rank_relation=(
-            header["rank_relation"] if header["model"] == CHRONOR else None
-        ),
-        rank_time=header["rank_time"] if header["model"] == CHRONOR else None,
+        rank_relation=header["rank_relation"],
+        rank_time=header["rank_time"],
         tail_conjugation=header["tail_conjugation"],
     )
+    missing = [name for name, _, _ in _TABLES[spec.model] if name not in tensors]
+    if missing:
+        raise CheckpointFormatError(f"{path}: missing tables {missing}")
     recurrent = None
     if header["recurrent_variant"]:
         from .regularizers import RecurrentParams
@@ -630,11 +598,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         )
     params = ModelParams(
         spec=spec,
-        entity=tensors["entity"],
-        relation=tensors["relation"],
-        timestamp=tensors["timestamp"],
-        relation_temporal=tensors.get("relation_temporal"),
-        rotation=tensors.get("rotation"),
+        **{name: tensors[name] for name, _, _ in _TABLES[spec.model]},
         linear3_bias=(
             tensors["linear3_bias"][0] if "linear3_bias" in tensors else None
         ),

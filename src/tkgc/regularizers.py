@@ -6,7 +6,6 @@ timestamp table:
 
     Np       mean over adjacent pairs of sum_z |t[l+1,z] - t[l,z]|^p
     Lp       same inner sum, but a single global 1/p root over all pairs
-             (a per-pair-root mode is available behind ``per_pair``)
     Linear3  Np-style penalty on (t[l+1] - t[l] - bias) with a learnable bias
     recurrent  the timestamp rows are generated from a learned initial state
              by an RNN/LSTM/GRU (or their linear counterparts), replacing the
@@ -25,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import complex_moduli
+from .core import row_blocks
 
 FAMILIES = ("none", "N", "L", "linear3", "recurrent")
 RECURRENT_VARIANTS = (
@@ -78,38 +77,15 @@ def parse_reg_spec(name: str, p: int = 3, hidden_size: int = 8) -> TemporalRegSp
                                hidden_size=hidden_size)
     if tag == "linear3":
         return TemporalRegSpec(family="linear3", p=p)
-    family = tag[0].upper()
-    if family in ("N", "L"):
-        rest = tag[1:]
-        if rest:
-            p = int(rest)
-        return TemporalRegSpec(family=family, p=p)
+    family, rest = tag[0].upper(), tag[1:]
+    if family in ("N", "L") and (rest == "" or rest.isdigit()):
+        return TemporalRegSpec(family=family, p=int(rest) if rest else p)
     raise ValueError(f"unknown temporal regularizer {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Embedding regularizer (nuclear 3-norm).
 # ---------------------------------------------------------------------------
-
-
-def _component_moduli(arr: np.ndarray, complex_pairs: bool) -> np.ndarray:
-    return complex_moduli(arr) if complex_pairs else np.abs(arr)
-
-
-def emb_reg_n3(
-    factor_head: np.ndarray,
-    factor_rel_effective: np.ndarray,
-    factor_tail: np.ndarray,
-) -> float:
-    """Nuclear 3-norm of the three trilinear factors (split-half storage):
-    one third of the summed cubes of the component moduli."""
-    shapes = {f.shape for f in (factor_head, factor_rel_effective, factor_tail)}
-    if len(shapes) != 1:
-        raise ValueError(f"factor rank mismatch: {sorted(shapes)}")
-    total = 0.0
-    for f in (factor_head, factor_rel_effective, factor_tail):
-        total += float(np.sum(_component_moduli(f, complex_pairs=True) ** 3))
-    return total / 3.0
 
 
 def n3_terms(moduli: np.ndarray) -> np.ndarray:
@@ -136,92 +112,82 @@ def n3_terms_grad(factors: np.ndarray, moduli: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _too_short(table: np.ndarray) -> bool:
+def _residual_penalty(
+    table: np.ndarray,
+    p: int,
+    complex_pairs: bool,
+    bias: Optional[np.ndarray] = None,
+    root: bool = False,
+) -> tuple[float, np.ndarray, Optional[np.ndarray]]:
+    """Value, table gradient and bias gradient (None without a bias) of
+
+        S / (T - 1),  S = sum_l sum_z |t[l+1, z] - t[l, z] - bias[z]|^p
+
+    over the T rows of ``table``, or of S^(1/p) / (T - 1) with ``root``.
+    The residual's components are its entries, or the complex moduli of its
+    split-half pairs with ``complex_pairs``.  Runs over cache-sized blocks of
+    adjacent pairs and writes the table gradient once.
+    """
+    grad_bias = None if bias is None else np.zeros_like(bias)
     if table.shape[0] < 2 or table.shape[1] == 0:
         warnings.warn(
             "temporal regularizer needs at least two timestamp rows; "
             "returning 0",
             stacklevel=3,
         )
-        return True
-    return False
-
-
-def _expand(weights: np.ndarray, complex_pairs: bool) -> np.ndarray:
-    return np.concatenate([weights, weights], axis=-1) if complex_pairs else weights
-
-
-def _power_weights(m: np.ndarray, exponent: float) -> np.ndarray:
-    """m ** exponent with the m == 0 entries forced to zero (subgradient)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(m > 0.0, m ** exponent, 0.0)
-    return out
+        return 0.0, np.zeros_like(table), grad_bias
+    pairs = table.shape[0] - 1
+    coef = (1.0 if root else p) / pairs
+    grad = np.empty_like(table)
+    grad[0] = 0.0
+    total = 0.0
+    for block in row_blocks((pairs,) + table.shape[1:]):
+        lo, hi = block.start, min(block.stop, pairs)
+        residual = table[lo + 1:hi + 1] - table[lo:hi]
+        if bias is not None:
+            residual -= bias
+        parts = np.split(residual, 2, axis=1) if complex_pairs else [residual]
+        sq = parts[0] * parts[0]
+        if complex_pairs:
+            sq += parts[1] * parts[1]
+        # weight = m ** (p - 2) from sq = m ** 2 by multiplication; the
+        # subgradient 0 where m == 0 for p = 1.
+        if p % 2:
+            weight = np.sqrt(sq)
+            if p == 1:
+                np.divide(1.0, weight, out=weight, where=weight > 0.0)
+        else:
+            weight = np.ones_like(sq)
+        for _ in range((p - 2) // 2):
+            weight *= sq
+        total += float(np.vdot(weight, sq))
+        # Residual -> d penalty / d residual (before any root), in place.
+        weight *= coef
+        for part in parts:
+            part *= weight
+        grad[lo + 1:hi + 1] = residual
+        grad[lo:hi] -= residual
+        if grad_bias is not None:
+            grad_bias -= residual.sum(axis=0)
+    if not root:
+        return total / pairs, grad, grad_bias
+    outer = total ** (1.0 / p - 1.0) if total > 0.0 else 0.0
+    grad *= outer
+    if grad_bias is not None:
+        grad_bias *= outer
+    return total ** (1.0 / p) / pairs, grad, grad_bias
 
 
 def temporal_np(table: np.ndarray, p: int, complex_pairs: bool = False) -> float:
     """Mean over adjacent row pairs of the summed p-th powers of component
     residual magnitudes."""
-    if _too_short(table):
-        return 0.0
-    m = _component_moduli(np.diff(table, axis=0), complex_pairs)
-    return float(np.sum(m ** p)) / (table.shape[0] - 1)
+    return _residual_penalty(table, p, complex_pairs)[0]
 
 
-def temporal_np_grad(
-    table: np.ndarray, p: int, complex_pairs: bool = False
-) -> tuple[float, np.ndarray]:
-    grad = np.zeros_like(table)
-    if _too_short(table):
-        return 0.0, grad
-    diffs = np.diff(table, axis=0)
-    m = _component_moduli(diffs, complex_pairs)
-    scale = 1.0 / (table.shape[0] - 1)
-    value = float(np.sum(m ** p)) * scale
-    g_diffs = _expand(scale * p * _power_weights(m, p - 2), complex_pairs) * diffs
-    grad[1:] += g_diffs
-    grad[:-1] -= g_diffs
-    return value, grad
-
-
-def temporal_lp(
-    table: np.ndarray, p: int, complex_pairs: bool = False, per_pair: bool = False
-) -> float:
+def temporal_lp(table: np.ndarray, p: int, complex_pairs: bool = False) -> float:
     """Lp reading of the smoothing penalty: a single global 1/p root over the
-    summed residual powers (``per_pair=True`` roots each adjacent pair
-    separately instead)."""
-    if _too_short(table):
-        return 0.0
-    m = _component_moduli(np.diff(table, axis=0), complex_pairs)
-    scale = 1.0 / (table.shape[0] - 1)
-    if per_pair:
-        return float(np.sum(np.sum(m ** p, axis=-1) ** (1.0 / p))) * scale
-    return float(np.sum(m ** p) ** (1.0 / p)) * scale
-
-
-def temporal_lp_grad(
-    table: np.ndarray, p: int, complex_pairs: bool = False, per_pair: bool = False
-) -> tuple[float, np.ndarray]:
-    grad = np.zeros_like(table)
-    if _too_short(table):
-        return 0.0, grad
-    diffs = np.diff(table, axis=0)
-    m = _component_moduli(diffs, complex_pairs)
-    scale = 1.0 / (table.shape[0] - 1)
-    powers = m ** p
-    if per_pair:
-        sums = np.sum(powers, axis=-1, keepdims=True)
-        value = float(np.sum(sums ** (1.0 / p))) * scale
-        outer = _power_weights(sums, 1.0 / p - 1.0)
-        weights = scale * outer * _power_weights(m, p - 2)
-    else:
-        total = float(np.sum(powers))
-        value = total ** (1.0 / p) * scale
-        outer = total ** (1.0 / p - 1.0) if total > 0.0 else 0.0
-        weights = scale * outer * _power_weights(m, p - 2)
-    g_diffs = _expand(weights, complex_pairs) * diffs
-    grad[1:] += g_diffs
-    grad[:-1] -= g_diffs
-    return value, grad
+    summed residual powers."""
+    return _residual_penalty(table, p, complex_pairs, root=True)[0]
 
 
 def linear3(
@@ -229,27 +195,7 @@ def linear3(
 ) -> float:
     """Np-style penalty on adjacent differences after subtracting a learned
     drift bias (one vector shared by every pair)."""
-    if _too_short(table):
-        return 0.0
-    residual = np.diff(table, axis=0) - bias
-    m = _component_moduli(residual, complex_pairs)
-    return float(np.sum(m ** p)) / (table.shape[0] - 1)
-
-
-def linear3_grad(
-    table: np.ndarray, bias: np.ndarray, p: int = 3, complex_pairs: bool = False
-) -> tuple[float, np.ndarray, np.ndarray]:
-    grad = np.zeros_like(table)
-    if _too_short(table):
-        return 0.0, grad, np.zeros_like(bias)
-    residual = np.diff(table, axis=0) - bias
-    m = _component_moduli(residual, complex_pairs)
-    scale = 1.0 / (table.shape[0] - 1)
-    value = float(np.sum(m ** p)) * scale
-    g_res = _expand(scale * p * _power_weights(m, p - 2), complex_pairs) * residual
-    grad[1:] += g_res
-    grad[:-1] -= g_res
-    return value, grad, -np.sum(g_res, axis=0)
+    return _residual_penalty(table, p, complex_pairs, bias=bias)[0]
 
 
 def temporal_penalty_grad(
@@ -258,19 +204,17 @@ def temporal_penalty_grad(
     bias: Optional[np.ndarray] = None,
     complex_pairs: bool = True,
 ) -> tuple[float, np.ndarray, Optional[np.ndarray]]:
-    """Dispatch on the additive penalty families; recurrent and none
-    contribute nothing here."""
-    if reg.family == "N":
-        value, grad = temporal_np_grad(table, reg.p, complex_pairs)
-        return value, grad, None
-    if reg.family == "L":
-        value, grad = temporal_lp_grad(table, reg.p, complex_pairs)
-        return value, grad, None
-    if reg.family == "linear3":
-        if bias is None:
-            raise ValueError("linear3 needs its bias parameter")
-        return linear3_grad(table, bias, reg.p, complex_pairs)
-    return 0.0, np.zeros_like(table), None
+    """Value and gradients of the additive penalty families; recurrent and
+    none contribute nothing here."""
+    if reg.family not in ("N", "L", "linear3"):
+        return 0.0, np.zeros_like(table), None
+    if reg.family == "linear3" and bias is None:
+        raise ValueError("linear3 needs its bias parameter")
+    return _residual_penalty(
+        table, reg.p, complex_pairs,
+        bias=bias if reg.family == "linear3" else None,
+        root=reg.family == "L",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +310,12 @@ def init_recurrent(
     scale: float = 0.1,
     dtype=np.float64,
 ) -> RecurrentParams:
-    base, _ = _base_variant(variant)
-    tensors = {"h0": (scale * rng.standard_normal(hidden_size)).astype(dtype)}
-    if base == "lstm":
-        tensors["c0"] = (scale * rng.standard_normal(hidden_size)).astype(dtype)
-    for name in _VARIANT_GATES[base]:
-        shape = (hidden_size, hidden_size) if name.startswith("W") else (hidden_size,)
-        tensors[name] = (scale * rng.standard_normal(shape)).astype(dtype)
-    tensors["W_out"] = (scale * rng.standard_normal((out_dim, hidden_size))).astype(
-        dtype
-    )
-    tensors["b_out"] = (scale * rng.standard_normal(out_dim)).astype(dtype)
-    return RecurrentParams(variant=variant, tensors=tensors)
+    params = RecurrentParams(variant=variant)
+    for name in params.tensor_names():
+        rows = out_dim if name.endswith("_out") else hidden_size
+        shape = (rows, hidden_size) if name.startswith("W") else (rows,)
+        params.tensors[name] = (scale * rng.standard_normal(shape)).astype(dtype)
+    return params
 
 
 def _recurrent_forward(
@@ -537,15 +475,14 @@ def norm_curve(
 def write_norm_curves_csv(path, labels: list[str],
                           interval: tuple[float, float] = (-2.0, 2.0),
                           samples: int = 401) -> None:
-    """One column per requested family label ("N5", "L1", ...), 6-decimal
-    fixed formatting."""
-    curves = []
-    for label in labels:
-        family, p = label[0].upper(), int(label[1:])
-        curves.append([y for _, y in norm_curve(family, p, interval, samples)])
+    """One column per requested family label ("N5", "L1", ...; a bare "N" or
+    "L" takes the default exponent), 6-decimal fixed formatting."""
+    specs = [parse_reg_spec(label) for label in labels]
+    curves = [[y for _, y in norm_curve(spec.family, spec.p, interval, samples)]
+              for spec in specs]
     xs = np.linspace(interval[0], interval[1], samples)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x," + ",".join(labels) + "\n")
+        fh.write("x," + ",".join(spec.label for spec in specs) + "\n")
         for row, x in enumerate(xs):
             values = ",".join(f"{curve[row]:.6f}" for curve in curves)
             fh.write(f"{x:.6f},{values}\n")

@@ -54,14 +54,11 @@ from .regularizers import (
     TemporalRegSpec,
     _recurrent_forward,
     init_recurrent,
-    linear3,
     n3_terms,
     n3_terms_grad,
     parse_reg_spec,
     recurrent_generate,
     recurrent_generate_backward,
-    temporal_lp,
-    temporal_np,
     temporal_penalty_grad,
 )
 
@@ -180,16 +177,6 @@ def _find_nonfinite(
     return "loss"
 
 
-def _temporal_value(
-    chrono: np.ndarray, reg: TemporalRegSpec, bias: Optional[np.ndarray]
-) -> float:
-    if reg.family == "N":
-        return temporal_np(chrono, reg.p, complex_pairs=True)
-    if reg.family == "L":
-        return temporal_lp(chrono, reg.p, complex_pairs=True)
-    return linear3(chrono, bias, reg.p, complex_pairs=True)
-
-
 def _softmax_cross_entropy(
     scores: np.ndarray, objects: np.ndarray
 ) -> np.ndarray:
@@ -262,12 +249,9 @@ def batch_loss(
     chrono = time_table[time_offset:]
     penalty, g_chrono, g_bias = 0.0, None, None
     if additive:
-        if compute_grads:
-            penalty, g_chrono, g_bias = temporal_penalty_grad(
-                chrono, reg, bias=params.linear3_bias, complex_pairs=True
-            )
-        else:
-            penalty = _temporal_value(chrono, reg, params.linear3_bias)
+        penalty, g_chrono, g_bias = temporal_penalty_grad(
+            chrono, reg, bias=params.linear3_bias, complex_pairs=True
+        )
 
     loss = loss_fit + loss_emb + config.lambda2 * penalty
     if not np.isfinite(loss):
@@ -560,6 +544,12 @@ FLAT_DEFAULTS: dict = {
 }
 
 
+# Flat keys of the ModelSpec and the TemporalRegSpec.  Every other flat key is
+# the TrainConfig field of that name, of the type of its default.
+_NESTED_KEYS = ("model", "rank", "rank_relation", "rank_time",
+                "tail_conjugation", "reg", "p", "hidden_size")
+
+
 def build_config(values: dict) -> TrainConfig:
     """TrainConfig from a flat value mapping (unknown keys are an error)."""
     merged = dict(FLAT_DEFAULTS)
@@ -586,18 +576,8 @@ def build_config(values: dict) -> TrainConfig:
     return TrainConfig(
         model=spec,
         reg=reg,
-        lambda1=float(merged["lambda1"]),
-        lambda2=float(merged["lambda2"]),
-        learning_rate=float(merged["learning_rate"]),
-        batch_size=int(merged["batch_size"]),
-        epochs=int(merged["epochs"]),
-        seed=int(merged["seed"]),
-        beta1=float(merged["beta1"]),
-        beta2=float(merged["beta2"]),
-        epsilon=float(merged["epsilon"]),
-        eval_every=int(merged["eval_every"]),
-        init_scale=float(merged["init_scale"]),
-        dtype=str(merged["dtype"]),
+        **{key: type(default)(merged[key])
+           for key, default in FLAT_DEFAULTS.items() if key not in _NESTED_KEYS},
     )
 
 
@@ -616,7 +596,7 @@ def _as_bool(value) -> bool:
 
 def config_values(config: TrainConfig) -> dict:
     """Flat mapping capturing the full effective configuration."""
-    return {
+    values = {
         "model": config.model.model,
         "rank": config.model.rank,
         "rank_relation": config.model.rank_relation,
@@ -625,19 +605,10 @@ def config_values(config: TrainConfig) -> dict:
         "reg": config.reg.label,
         "p": config.reg.p,
         "hidden_size": config.reg.hidden_size,
-        "lambda1": config.lambda1,
-        "lambda2": config.lambda2,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "eval_every": config.eval_every,
-        "init_scale": config.init_scale,
-        "dtype": config.dtype,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "epsilon": config.epsilon,
     }
+    values.update((key, getattr(config, key)) for key in FLAT_DEFAULTS
+                  if key not in _NESTED_KEYS)
+    return values
 
 
 def write_manifest(path, values: dict, history: Optional[list[dict]] = None) -> None:
@@ -687,8 +658,15 @@ def _metric_fields(prefix: str, metrics: Optional[Metrics]) -> dict:
     }
 
 
-def _grid_key(values: dict) -> str:
-    blob = json.dumps(values, sort_keys=True, default=str)
+# Bump when the cached row format or its meaning changes.
+_GRID_CACHE_VERSION = 2
+
+
+def _grid_key(values: dict, data_hash: str) -> str:
+    blob = json.dumps(
+        {"version": _GRID_CACHE_VERSION, "data": data_hash, "config": values},
+        sort_keys=True, default=str,
+    )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -702,16 +680,18 @@ def grid_search(
     """Train every configuration in the Cartesian grid and rank the rows by
     validation MRR (descending).
 
-    With ``out_dir`` set, each configuration's result is cached in
-    ``out_dir/results/<hash>.json`` and a resumed run reuses completed rows
-    (status "cached") instead of retraining.  Individual failures become
-    status "error" rows and do not abort the sweep.
+    With ``out_dir`` set, each completed configuration is cached in
+    ``out_dir/results/<hash>.json``, keyed by the configuration and the
+    content of ``splits``; a resumed run reuses those rows (status "cached")
+    instead of retraining.  Individual failures become status "error" rows,
+    which do not abort the sweep and are not cached, so a rerun retries them.
     """
     results_dir = None
     if out_dir is not None:
         results_dir = Path(out_dir) / "results"
         results_dir.mkdir(parents=True, exist_ok=True)
     filter_index = build_filter_index(splits)
+    data_hash = splits.content_hash()
     names = list(axes)
     rows = []
     for combo in itertools.product(*(axes[name] for name in names)):
@@ -719,7 +699,7 @@ def grid_search(
         values.update(dict(zip(names, combo)))
         cache_path = (
             None if results_dir is None
-            else results_dir / f"{_grid_key(values)}.json"
+            else results_dir / f"{_grid_key(values, data_hash)}.json"
         )
         if cache_path is not None and cache_path.exists():
             row = json.loads(cache_path.read_text())
@@ -752,7 +732,7 @@ def grid_search(
             row["status"] = "error"
             row["error"] = str(exc)
         row["seconds"] = time.perf_counter() - started
-        if cache_path is not None:
+        if cache_path is not None and row["status"] == "ok":
             cache_path.write_text(json.dumps(row, default=str))
         rows.append(row)
     rows.sort(

@@ -52,7 +52,6 @@ def oracle_residual_penalty(table, p, complex_pairs, bias=None, root=None):
     """Naive-loop temporal penalty over adjacent differences."""
     rows, width = table.shape
     total = 0.0
-    per_pair = []
     for l in range(rows - 1):
         diff = [table[l + 1][c] - table[l][c] for c in range(width)]
         if bias is not None:
@@ -62,13 +61,9 @@ def oracle_residual_penalty(table, p, complex_pairs, bias=None, root=None):
             comps = [abs(complex(diff[z], diff[half + z])) for z in range(half)]
         else:
             comps = [abs(x) for x in diff]
-        pair_sum = sum(c ** p for c in comps)
-        per_pair.append(pair_sum)
-        total += pair_sum
+        total += sum(c ** p for c in comps)
     if root == "global":
         return total ** (1.0 / p) / (rows - 1)
-    if root == "per_pair":
-        return sum(s ** (1.0 / p) for s in per_pair) / (rows - 1)
     return total / (rows - 1)
 
 

@@ -125,6 +125,28 @@ class TestTrainCommand:
         assert history[0] == "epoch,train_loss,valid_mrr"
         assert len(history) == 3
 
+    def test_filter_index_built_once(self, toy_dataset, tmp_path,
+                                     monkeypatch):
+        import tkgc.datasets
+        import tkgc.training
+
+        calls = []
+        original = tkgc.datasets.build_filter_index
+
+        def counting(splits):
+            calls.append(1)
+            return original(splits)
+
+        monkeypatch.setattr(tkgc.datasets, "build_filter_index", counting)
+        monkeypatch.setattr(tkgc.training, "build_filter_index", counting)
+        code = main([
+            "train", "--dataset", str(toy_dataset), "--out",
+            str(tmp_path / "run"), "--rank", "4", "--epochs", "2",
+            "--batch-size", "512", "--eval-every", "1",
+        ])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_published_best_config_flags_accepted(self, toy_dataset, tmp_path):
         out = tmp_path / "best"
         code = main([
@@ -327,6 +349,26 @@ class TestPlotNorms:
         n5_at_04 = float(rows[0.4][4])
         assert n5_at_04 == pytest.approx(0.01024, abs=5e-7)
         assert float(rows[2.0][1]) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("label, message", [
+        ("N9", "exponent"), ("N0", "exponent"), ("L6", "exponent"),
+        ("linear3", "N and L"), ("lstm", "N and L"), ("banana", "unknown"),
+        ("N2x", "unknown"),
+    ])
+    def test_bad_family_label_rejected(self, tmp_path, capsys, label,
+                                       message):
+        out = tmp_path / "bad.csv"
+        code = main(["plot-norms", "--out", str(out), "--families",
+                     f"N2,{label}"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bare_family_takes_default_exponent(self, tmp_path):
+        out = tmp_path / "bare.csv"
+        assert main(["plot-norms", "--out", str(out), "--families",
+                     "N,l2"]) == 0
+        assert out.read_text().splitlines()[0] == "x,N3,L2"
 
     def test_five_samples_grid(self, tmp_path):
         out = tmp_path / "five.csv"

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+import tkgc
 from tkgc.core import (
-    Quadruple,
     Vocabulary,
     complex_trilinear,
     conjugate,
     from_complex,
     inverse_relation,
-    reciprocal_quadruple,
     rng_stream,
     to_complex,
 )
@@ -51,6 +50,21 @@ class TestComplexTrilinear:
             a, b, c = (rng.standard_normal(10) for _ in range(3))
             expected = np.sum(to_complex(a) * to_complex(b) * to_complex(c))
             assert complex_trilinear(a, b, c) == pytest.approx(complex(expected))
+
+
+class TestToComplex:
+    def test_split_half_layout(self):
+        storage = np.array([[1.0, 2.0, 3.0, 4.0]])  # d=2: re (1, 2), im (3, 4)
+        assert np.array_equal(to_complex(storage), np.array([[1 + 3j, 2 + 4j]]))
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 8))
+        assert np.array_equal(from_complex(to_complex(x)), x)
+
+    def test_odd_width_rejected(self):
+        with pytest.raises(ValueError):
+            to_complex(np.zeros(3))
 
 
 class TestConjugate:
@@ -101,9 +115,8 @@ class TestVocabulary:
 
 class TestReciprocal:
     def test_involution(self):
-        quad = Quadruple(3, 1, 7, 2)
-        twice = reciprocal_quadruple(reciprocal_quadruple(quad, 6), 6)
-        assert twice == quad
+        for relation in range(6):
+            assert inverse_relation(inverse_relation(relation, 6), 6) == relation
 
     def test_inverse_relation_halves(self):
         assert inverse_relation(0, 4) == 2
@@ -112,6 +125,11 @@ class TestReciprocal:
     def test_odd_relation_space_rejected(self):
         with pytest.raises(ValueError):
             inverse_relation(0, 5)
+
+
+def test_every_exported_name_resolves():
+    for name in tkgc.__all__:
+        assert getattr(tkgc, name) is not None, name
 
 
 def test_rng_streams_are_independent_and_deterministic():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,6 @@ from tkgc.models import (
     score,
     score_all_objects,
     score_batch,
-    score_chronor,
-    score_tcomplex,
-    score_tntcomplex,
 )
 
 MODELS = (TCOMPLEX, TNTCOMPLEX, CHRONOR)
@@ -40,7 +39,7 @@ def _unit_tcomplex(d=1):
 class TestScoreTComplEx:
     def test_all_ones_identity(self):
         params = _unit_tcomplex()
-        assert score_tcomplex(params, (0, 0, 1, 0)) == pytest.approx(1.0)
+        assert score(params, (0, 0, 1, 0)) == pytest.approx(1.0)
 
     def test_hand_complex_arithmetic(self):
         # i = i, j = 1, k = i, t = 1  ->  Re(i * 1 * conj(i) * 1) = 1
@@ -52,18 +51,12 @@ class TestScoreTComplEx:
             relation=from_complex(np.array([[1 + 0j]])),
             timestamp=from_complex(np.array([[1 + 0j]])),
         )
-        assert score_tcomplex(params, (0, 0, 1, 0)) == pytest.approx(1.0)
+        assert score(params, (0, 0, 1, 0)) == pytest.approx(1.0)
 
     def test_zero_timestamp_annihilates(self):
         params = _unit_tcomplex()
         params.timestamp[:] = 0.0
-        assert score_tcomplex(params, (0, 0, 1, 0)) == 0.0
-
-    def test_wrong_model_rejected(self):
-        rng = np.random.default_rng(0)
-        params = make_params(TNTCOMPLEX, rng)
-        with pytest.raises(ValueError):
-            score_tcomplex(params, (0, 0, 1, 0))
+        assert score(params, (0, 0, 1, 0)) == 0.0
 
     def test_id_out_of_range(self):
         params = _unit_tcomplex()
@@ -81,7 +74,7 @@ class TestScoreTNTComplEx:
         quad = (1, 2, 3, 0)
         static = oracle_score(params, quad)
         for timestamp in range(params.n_timestamps):
-            got = score_tntcomplex(params, (1, 2, 3, timestamp))
+            got = score(params, (1, 2, 3, timestamp))
             assert got == pytest.approx(static, rel=1e-12)
 
     def test_zero_static_part_matches_tcomplex(self):
@@ -95,8 +88,8 @@ class TestScoreTNTComplEx:
             timestamp=params.timestamp.copy(),
         )
         quad = (0, 1, 2, 3)
-        assert score_tntcomplex(params, quad) == pytest.approx(
-            score_tcomplex(twin, quad), rel=1e-12
+        assert score(params, quad) == pytest.approx(
+            score(twin, quad), rel=1e-12
         )
 
     def test_matches_scalar_oracle(self):
@@ -107,7 +100,7 @@ class TestScoreTNTComplEx:
                 rng.integers(params.n_entities), rng.integers(params.n_relations),
                 rng.integers(params.n_entities), rng.integers(params.n_timestamps),
             )
-            assert score_tntcomplex(params, quad) == pytest.approx(
+            assert score(params, quad) == pytest.approx(
                 oracle_score(params, quad), rel=1e-12
             )
 
@@ -132,7 +125,7 @@ class TestScoreChronoR:
             spec=spec, entity=entity, relation=ones.copy(),
             rotation=ones.copy(), timestamp=np.zeros((3, 0)),
         )
-        got = score_chronor(params, (1, 0, 2, 0))
+        got = score(params, (1, 0, 2, 0))
         expected = float(np.sum(entity[1] * entity[2]))  # Re(<i, conj k>)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -150,15 +143,15 @@ class TestScoreChronoR:
             timestamp=np.array([[19.0, 0.0]]),
         )
         expected = 2.0 * 11.0 * 13.0 * 5.0 + 3.0 * 19.0 * 17.0 * 7.0
-        assert score_chronor(params, (0, 0, 1, 0)) == pytest.approx(expected)
+        assert score(params, (0, 0, 1, 0)) == pytest.approx(expected)
 
     def test_scaling_head_scales_score(self):
         rng = np.random.default_rng(6)
         params = make_params(CHRONOR, rng)
         quad = (2, 1, 3, 2)
-        base = score_chronor(params, quad)
+        base = score(params, quad)
         params.entity[2] *= 2.5
-        assert score_chronor(params, quad) == pytest.approx(2.5 * base, rel=1e-12)
+        assert score(params, quad) == pytest.approx(2.5 * base, rel=1e-12)
 
     @pytest.mark.parametrize("conj", [True, False])
     def test_matches_scalar_oracle_both_tail_modes(self, conj):
@@ -169,7 +162,7 @@ class TestScoreChronoR:
                 rng.integers(params.n_entities), rng.integers(params.n_relations),
                 rng.integers(params.n_entities), rng.integers(params.n_timestamps),
             )
-            assert score_chronor(params, quad) == pytest.approx(
+            assert score(params, quad) == pytest.approx(
                 oracle_score(params, quad), rel=1e-12
             )
 
@@ -338,6 +331,32 @@ class TestParamCount:
 
 
 class TestCheckpoint:
+    # sha256 of the checkpoint bytes of init_params(ModelSpec(model, 4),
+    # 5, 4, 3, seed=0, dtype): pins table order, draw order and format.
+    PINNED = {
+        (TCOMPLEX, "float64"):
+            "0be91dd7372d7b45b09932ecbe9f90143cfdcc453003e954490e8a8727c3c642",
+        (TCOMPLEX, "float32"):
+            "7796721d6b65d612871a25e2e590647cbdde529bd47fd5b62d601366ea889848",
+        (TNTCOMPLEX, "float64"):
+            "a4ace1dd7ae711c747be95cc7808c57925e3b49c0f4a1ae56445375b84f2a295",
+        (TNTCOMPLEX, "float32"):
+            "b0dd9494de8ec23f5fdf34984c776fa2d03c3a11d017849b2e6e736bcde9ed37",
+        (CHRONOR, "float64"):
+            "5ab3429068ade0784a8cb02b7d8adc07e53d9c76c7bd49a2119702db8ef0d2ac",
+        (CHRONOR, "float32"):
+            "ff0d6c71aee754b2e01af864b54ad2471b8e67dbb8e45b07ebc020a5c8431ba3",
+    }
+
+    @pytest.mark.parametrize("model, dtype", sorted(PINNED))
+    def test_init_checkpoint_bytes_pinned(self, tmp_path, model, dtype):
+        params = init_params(ModelSpec(model=model, rank=4), 5, 4, 3, seed=0,
+                             dtype=np.dtype(dtype))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.PINNED[(model, dtype)]
+
     @pytest.mark.parametrize("model", MODELS)
     def test_round_trip(self, tmp_path, model):
         rng = np.random.default_rng(13)
@@ -406,6 +425,16 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError, match="directory"):
             read_checkpoint_header(path)
+
+    def test_missing_model_table_rejected(self, tmp_path):
+        params = make_params(TCOMPLEX, np.random.default_rng(17))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        # The 16-byte model tag follows the magic and the u32 version.
+        path.write_bytes(raw[:12] + b"tntcomplex".ljust(16, b"\0") + raw[28:])
+        with pytest.raises(CheckpointFormatError, match="relation_temporal"):
+            load_checkpoint(path)
 
     def test_truncated_table_data_rejected(self, tmp_path):
         params = make_params(TCOMPLEX, np.random.default_rng(16))

@@ -4,35 +4,39 @@ import numpy as np
 import pytest
 
 from conftest import oracle_residual_penalty
+from tkgc.core import complex_moduli
 from tkgc.regularizers import (
     RECURRENT_VARIANTS,
     RecurrentParams,
     TemporalRegSpec,
     _recurrent_forward,
-    emb_reg_n3,
     init_recurrent,
     linear3,
-    linear3_grad,
+    n3_terms,
     norm_curve,
     parse_reg_spec,
     recurrent_generate,
     recurrent_generate_backward,
     temporal_lp,
-    temporal_lp_grad,
     temporal_np,
-    temporal_np_grad,
+    temporal_penalty_grad,
     write_norm_curves_csv,
 )
 
 
-class TestEmbRegN3:
+def n3_of_factors(*factors) -> float:
+    """Nuclear 3-norm of trilinear factors, summed over the factors."""
+    return float(sum(n3_terms(complex_moduli(f)) for f in factors))
+
+
+class TestN3Terms:
     def test_all_ones_real_unit_moduli(self):
         ones = np.array([1.0, 1.0, 0.0, 0.0])  # d=2, imaginary half zero
-        assert emb_reg_n3(ones, ones, ones) == pytest.approx(2.0)
+        assert n3_of_factors(ones, ones, ones) == pytest.approx(2.0)
 
     def test_zero_factors(self):
         zero = np.zeros(6)
-        assert emb_reg_n3(zero, zero, zero) == 0.0
+        assert n3_of_factors(zero, zero, zero) == 0.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
@@ -43,11 +47,15 @@ class TestEmbRegN3:
                 for z in range(3):
                     expected += abs(complex(f[z], f[3 + z])) ** 3
             expected /= 3.0
-            assert emb_reg_n3(u, v, w) == pytest.approx(expected, rel=1e-12)
+            assert n3_of_factors(u, v, w) == pytest.approx(expected, rel=1e-12)
 
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            emb_reg_n3(np.zeros(4), np.zeros(6), np.zeros(4))
+    def test_per_row_terms(self):
+        rng = np.random.default_rng(1)
+        batch = rng.standard_normal((4, 6))
+        terms = n3_terms(complex_moduli(batch))
+        for row in range(4):
+            assert terms[row] == pytest.approx(n3_of_factors(batch[row]),
+                                               rel=1e-12)
 
 
 class TestTemporalNp:
@@ -99,14 +107,12 @@ class TestTemporalLp:
             temporal_np(table, 1), rel=1e-12
         )
 
-    @pytest.mark.parametrize("per_pair", [False, True])
-    def test_matches_oracle(self, per_pair):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(2)
-        root = "per_pair" if per_pair else "global"
         for p in (1, 2, 3, 5):
             table = rng.standard_normal((5, 6))
-            got = temporal_lp(table, p, complex_pairs=True, per_pair=per_pair)
-            want = oracle_residual_penalty(table, p, True, root=root)
+            got = temporal_lp(table, p, complex_pairs=True)
+            want = oracle_residual_penalty(table, p, True, root="global")
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -197,39 +203,33 @@ class TestPenaltyGradients:
             grad.reshape(-1)[idx] = (up - down) / (2 * h)
         return grad
 
+    @pytest.mark.parametrize("family", ["N", "L", "linear3"])
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     @pytest.mark.parametrize("complex_pairs", [False, True])
-    def test_np_gradient(self, p, complex_pairs):
+    def test_gradients(self, family, p, complex_pairs):
         rng = np.random.default_rng(9)
         table = rng.standard_normal((4, 4))
-        value, grad = temporal_np_grad(table, p, complex_pairs)
-        assert value == pytest.approx(temporal_np(table, p, complex_pairs))
-        fd = self._fd(lambda: temporal_np(table, p, complex_pairs), table)
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
-
-    @pytest.mark.parametrize("per_pair", [False, True])
-    def test_lp_gradient(self, per_pair):
-        rng = np.random.default_rng(10)
-        table = rng.standard_normal((4, 4))
-        value, grad = temporal_lp_grad(table, 3, True, per_pair=per_pair)
-        assert value == pytest.approx(
-            temporal_lp(table, 3, True, per_pair=per_pair)
-        )
-        fd = self._fd(
-            lambda: temporal_lp(table, 3, True, per_pair=per_pair), table
-        )
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
-
-    def test_linear3_gradients(self):
-        rng = np.random.default_rng(11)
-        table = rng.standard_normal((4, 4))
         bias = rng.standard_normal(4)
-        value, grad_table, grad_bias = linear3_grad(table, bias, 3, True)
-        assert value == pytest.approx(linear3(table, bias, 3, True))
-        fd_table = self._fd(lambda: linear3(table, bias, 3, True), table)
-        np.testing.assert_allclose(grad_table, fd_table, rtol=1e-6, atol=1e-8)
-        fd_bias = self._fd(lambda: linear3(table, bias, 3, True), bias)
-        np.testing.assert_allclose(grad_bias, fd_bias, rtol=1e-6, atol=1e-8)
+
+        def penalty() -> float:
+            if family == "N":
+                return temporal_np(table, p, complex_pairs)
+            if family == "L":
+                return temporal_lp(table, p, complex_pairs)
+            return linear3(table, bias, p, complex_pairs)
+
+        value, grad, grad_bias = temporal_penalty_grad(
+            table, TemporalRegSpec(family=family, p=p), bias=bias,
+            complex_pairs=complex_pairs,
+        )
+        assert value == pytest.approx(penalty())
+        fd = self._fd(penalty, table)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+        if family == "linear3":
+            fd_bias = self._fd(penalty, bias)
+            np.testing.assert_allclose(grad_bias, fd_bias, rtol=1e-6, atol=1e-8)
+        else:
+            assert grad_bias is None
 
 
 class TestRecurrentGenerate:

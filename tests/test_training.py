@@ -415,6 +415,29 @@ class TestGridSearch:
             row["valid_mrr"] for row in first
         )
 
+    def test_cache_keyed_by_dataset(self, tmp_path, shift_splits_augmented):
+        from conftest import random_dataset
+        from tkgc.datasets import augment_reciprocal
+
+        # Same vocabulary, different facts.
+        other = augment_reciprocal(random_dataset(
+            np.random.default_rng(0), 20, 3, 8, n_train=200))
+        base = {"rank": 4, "epochs": 1, "batch_size": 512, "seed": 4}
+        axes = {"lambda2": [0.0]}
+        first = grid_search(shift_splits_augmented, base, axes,
+                            out_dir=tmp_path)
+        second = grid_search(other, base, axes, out_dir=tmp_path)
+        assert [row["status"] for row in first] == ["ok"]
+        assert [row["status"] for row in second] == ["ok"]
+
+    def test_failed_configuration_retried(self, tmp_path,
+                                          shift_splits_augmented):
+        base = {"rank": 4, "epochs": 1, "batch_size": 512, "reg": "N"}
+        for _ in range(2):
+            rows = grid_search(shift_splits_augmented, base, {"p": [0]},
+                               out_dir=tmp_path)
+            assert [row["status"] for row in rows] == ["error"]
+
     def test_failed_configuration_recorded_not_fatal(self, tmp_path,
                                                      shift_splits_augmented):
         base = {"rank": 4, "epochs": 1, "batch_size": 512, "reg": "N"}
