@@ -12,8 +12,8 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "DatasetSplits", "Quadruple", "Vocabulary", "complex_trilinear",
-        "conjugate", "inverse_relation",
+        "DatasetSplits", "Vocabulary", "complex_trilinear", "conjugate",
+        "inverse_relation",
     ),
     "datasets": (
         "FilterIndex", "RawFact", "augment_reciprocal", "build_dataset",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,24 +30,12 @@ def rng_stream(seed: int, stream: str) -> np.random.Generator:
     )
 
 
-class Quadruple(NamedTuple):
-    """One encoded fact: (subject, relation, object, timestamp), all dense ids."""
-
-    subject: int
-    relation: int
-    object: int
-    timestamp: int
-
-
-def inverse_relation(relation: int, n_relations: int) -> int:
-    """Inverse relation id in a reciprocal-augmented space of ``n_relations``.
-
-    Relations come in halves: id ``r`` inverts to ``r + n/2`` and back.
-    """
+def inverse_relation(relation: int | np.ndarray, n_relations: int):
+    """Inverse of a relation id, or elementwise of an id array, in a
+    reciprocal-augmented space: id ``r`` inverts to ``r + n/2`` and back."""
     if n_relations % 2 != 0:
         raise ValueError("reciprocal relation space must have an even size")
-    half = n_relations // 2
-    return relation + half if relation < half else relation - half
+    return (relation + n_relations // 2) % n_relations
 
 
 @dataclass

@@ -173,9 +173,7 @@ def evaluate(
     n_rel = params.n_relations
     right_queries = quads[:, [0, 1, 3]]
     right_answers = quads[:, 2]
-    inverse = np.array(
-        [inverse_relation(int(j), n_rel) for j in quads[:, 1]], dtype=quads.dtype
-    )
+    inverse = inverse_relation(quads[:, 1], n_rel)
     left_queries = np.stack([quads[:, 2], inverse, quads[:, 3]], axis=1)
     left_answers = quads[:, 0]
 

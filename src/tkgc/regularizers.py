@@ -221,11 +221,13 @@ def temporal_penalty_grad(
 # Recurrent timestamp generation.
 # ---------------------------------------------------------------------------
 
-_VARIANT_GATES = {
-    "rnn": ("W", "b"),
-    "lstm": ("Wi", "Wf", "Wg", "Wo", "bi", "bf", "bg", "bo"),
-    "gru": ("Wz", "Wr", "Wn", "bz", "br", "bn"),
-}
+# Gate names in checkpoint order; each has a weight W<gate> and a bias
+# b<gate>.  At call time the weights are stacked into one matrix in the
+# ``_STACKED`` row order: the sigmoid gates first so one call covers them,
+# and GRU's candidate n apart because it reads r * h.
+_GATES = {"rnn": ("",), "lstm": ("i", "f", "g", "o"), "gru": ("z", "r", "n")}
+_STACKED = {"rnn": ("",), "lstm": ("i", "f", "o", "g"), "gru": ("z", "r")}
+_SIGMOID_BLOCKS = {"rnn": 0, "lstm": 3, "gru": 2}
 
 
 def _base_variant(variant: str) -> tuple[str, bool]:
@@ -233,13 +235,17 @@ def _base_variant(variant: str) -> tuple[str, bool]:
     return (variant.removeprefix("linear_"), linear)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _keep(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return x  # the linear variants' in-place activation
+
+
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function, branch-free and overflow-free: exp(min(x, 0)) over
+    1 + e, e = exp(-|x|), is 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere, bit for bit (no np.where, which is slow on short rows)."""
+    den = np.exp(-np.abs(x))
+    den += 1.0
+    return np.divide(np.exp(np.minimum(x, 0.0)), den, out=out)
 
 
 @dataclass
@@ -269,12 +275,9 @@ class RecurrentParams:
 
     def tensor_names(self) -> list[str]:
         base, _ = _base_variant(self.variant)
-        names = ["h0"]
-        if base == "lstm":
-            names.append("c0")
-        names.extend(_VARIANT_GATES[base])
-        names.extend(["W_out", "b_out"])
-        return names
+        gates = _GATES[base]
+        return (["h0", "c0"] if base == "lstm" else ["h0"]) + [
+            p + g for p in "Wb" for g in gates] + ["W_out", "b_out"]
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         return {f"rnn.{name}": self.tensors[name] for name in self.tensor_names()}
@@ -320,45 +323,62 @@ def init_recurrent(
 
 def _recurrent_forward(
     params: RecurrentParams, count: int
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Generated table plus what backward reads: the states ``hs`` (h0
+    first), the activated ``gates`` (LSTM i, f, o, g; GRU z, r, n; RNN
+    ``hs[1:]``), LSTM cells ``cs`` (c0 first) and their tanh ``cts``, and
+    GRU's ``rh`` = r * h.  Each step is one matvec of the stacked gate
+    weights into a preallocated row, activated in place unless linear."""
     base, linear = _base_variant(params.variant)
-    t = params.tensors
-    act = (lambda x: x) if linear else np.tanh
-    gate = (lambda x: x) if linear else _sigmoid
-    h = t["h0"]
-    cache: dict = {"hs": [h], "steps": []}
-    if base == "lstm":
-        cache["cs"] = [t["c0"]]
-    for _ in range(count):
-        if base == "rnn":
-            pre = t["W"] @ h + t["b"]
-            h = act(pre)
-            cache["steps"].append({"h": h})
-        elif base == "lstm":
-            c_prev = cache["cs"][-1]
-            i = gate(t["Wi"] @ h + t["bi"])
-            f = gate(t["Wf"] @ h + t["bf"])
-            g = act(t["Wg"] @ h + t["bg"])
-            o = gate(t["Wo"] @ h + t["bo"])
-            c = f * c_prev + i * g
-            ct = act(c)
-            h = o * ct
-            cache["steps"].append({"i": i, "f": f, "g": g, "o": o, "ct": ct})
-            cache["cs"].append(c)
-        else:
-            z = gate(t["Wz"] @ h + t["bz"])
-            r = gate(t["Wr"] @ h + t["br"])
-            rh = r * h
-            n = act(t["Wn"] @ rh + t["bn"])
-            h = (1.0 - z) * n + z * h
-            cache["steps"].append({"z": z, "r": r, "n": n, "rh": rh})
-        cache["hs"].append(h)
-    hs = np.stack(cache["hs"][1:], axis=0) if count else np.zeros(
-        (0, params.hidden_size), dtype=t["h0"].dtype
-    )
-    table = hs @ t["W_out"].T + t["b_out"]
-    cache["out_hs"] = hs
-    return table, cache
+    sigmoid, tanh = (_keep, _keep) if linear else (_sigmoid, np.tanh)
+    t, hid = params.tensors, params.hidden_size
+    W = np.concatenate([t["W" + k] for k in _STACKED[base]])
+    b = np.concatenate([t["b" + k] for k in _STACKED[base]])
+    sig = _SIGMOID_BLOCKS[base] * hid
+    hs = np.empty((count + 1, hid), dtype=W.dtype)
+    hs[0] = t["h0"]
+    cache, buf = {"hs": hs, "gates": hs[1:]}, np.empty(hid, dtype=W.dtype)
+    if base == "rnn":
+        for h_prev, h in zip(hs[:-1], hs[1:]):
+            np.dot(W, h_prev, out=h)
+            h += b
+            tanh(h, out=h)
+    elif base == "lstm":
+        gates = cache["gates"] = np.empty((count, 4 * hid), dtype=W.dtype)
+        cs = cache["cs"] = np.empty_like(hs)
+        cs[0] = t["c0"]
+        cts = cache["cts"] = cs[1:] if linear else np.empty_like(hs[1:])
+        for h_prev, a, i, f, o, g, c_prev, c, ct, h in zip(
+            hs[:-1], gates, *np.split(gates, 4, axis=1), cs[:-1], cs[1:],
+            cts, hs[1:],
+        ):
+            np.dot(W, h_prev, out=a)
+            a += b
+            sigmoid(a[:sig], out=a[:sig])
+            tanh(g, out=g)
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=buf)
+            c += buf
+            tanh(c, out=ct)
+            np.multiply(o, ct, out=h)
+    else:
+        gates = cache["gates"] = np.empty((count, 3 * hid), dtype=W.dtype)
+        rhs = cache["rh"] = np.empty_like(hs[1:])
+        for h_prev, zr, z, r, n, rh, h in zip(
+            hs[:-1], gates[:, :sig], *np.split(gates, 3, axis=1), rhs, hs[1:]
+        ):
+            np.dot(W, h_prev, out=zr)
+            zr += b
+            sigmoid(zr, out=zr)
+            np.multiply(r, h_prev, out=rh)
+            np.dot(t["Wn"], rh, out=n)
+            n += t["bn"]
+            tanh(n, out=n)
+            np.subtract(1.0, z, out=h)
+            h *= n
+            np.multiply(z, h_prev, out=buf)
+            h += buf
+    return hs[1:] @ t["W_out"].T + t["b_out"], cache
 
 
 def recurrent_generate(params: RecurrentParams, count: int) -> np.ndarray:
@@ -371,82 +391,75 @@ def recurrent_generate(params: RecurrentParams, count: int) -> np.ndarray:
 
 
 def recurrent_generate_backward(
-    params: RecurrentParams, cache: dict, grad_table: np.ndarray
+    params: RecurrentParams, cache: dict[str, np.ndarray],
+    grad_table: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Backpropagate a gradient on the generated table through the unrolled
-    recurrence; returns gradients keyed like ``tensor_names()``."""
+    recurrence; returns gradients keyed like ``tensor_names()``.
+
+    The coefficients ``K`` (activation slopes times forward values) of all
+    steps come first; the reverse loop then fills the pre-activation
+    gradients ``G`` (laid out like ``gates``) by a few length-h products and
+    one ``W.T @ g`` matvec per step.  Weights then take one GEMM."""
     base, linear = _base_variant(params.variant)
-    t = params.tensors
-    count = grad_table.shape[0]
-    grads = {name: np.zeros_like(t[name]) for name in params.tensor_names()}
-    grads["W_out"] += grad_table.T @ cache["out_hs"]
-    grads["b_out"] += grad_table.sum(axis=0)
+    t, hid = params.tensors, params.hidden_size
+    hs, gates = cache["hs"], cache["gates"]
+    sig = _SIGMOID_BLOCKS[base] * hid
     g_hs = grad_table @ t["W_out"]
-
-    def gate_grad(value: np.ndarray) -> np.ndarray:
-        return np.ones_like(value) if linear else value * (1.0 - value)
-
-    def act_grad_from_out(out: np.ndarray) -> np.ndarray:
-        return np.ones_like(out) if linear else 1.0 - out ** 2
-
-    gh = np.zeros(params.hidden_size, dtype=grad_table.dtype)
-    gc = np.zeros(params.hidden_size, dtype=grad_table.dtype)
-    for step in range(count - 1, -1, -1):
-        gh = gh + g_hs[step]
-        h_prev = cache["hs"][step]
-        info = cache["steps"][step]
-        if base == "rnn":
-            gz = gh * act_grad_from_out(info["h"])
-            grads["W"] += np.outer(gz, h_prev)
-            grads["b"] += gz
-            gh = t["W"].T @ gz
-        elif base == "lstm":
-            c_prev = cache["cs"][step]
-            i, f, g, o, ct = (info[k] for k in ("i", "f", "g", "o", "ct"))
-            go = gh * ct
-            gc = gc + gh * o * act_grad_from_out(ct)
-            gi = gc * g
-            gf = gc * c_prev
-            gg = gc * i
-            gc_prev = gc * f
-            gh_new = np.zeros_like(gh)
-            for name, gval, out in (
-                ("Wi", gi, i), ("Wf", gf, f), ("Wo", go, o),
-            ):
-                gpre = gval * gate_grad(out)
-                grads[name] += np.outer(gpre, h_prev)
-                grads["b" + name[1:]] += gpre
-                gh_new += t[name].T @ gpre
-            gpre = gg * act_grad_from_out(g)
-            grads["Wg"] += np.outer(gpre, h_prev)
-            grads["bg"] += gpre
-            gh_new += t["Wg"].T @ gpre
-            gh = gh_new
-            gc = gc_prev
-        else:
-            z, r, n, rh = (info[k] for k in ("z", "r", "n", "rh"))
-            gz = gh * (h_prev - n)
-            gn = gh * (1.0 - z)
-            gh_prev = gh * z
-            gn_pre = gn * act_grad_from_out(n)
-            grads["Wn"] += np.outer(gn_pre, rh)
-            grads["bn"] += gn_pre
-            g_rh = t["Wn"].T @ gn_pre
-            gr = g_rh * h_prev
-            gh_prev = gh_prev + g_rh * r
-            gz_pre = gz * gate_grad(z)
-            grads["Wz"] += np.outer(gz_pre, h_prev)
-            grads["bz"] += gz_pre
-            gh_prev = gh_prev + t["Wz"].T @ gz_pre
-            gr_pre = gr * gate_grad(r)
-            grads["Wr"] += np.outer(gr_pre, h_prev)
-            grads["br"] += gr_pre
-            gh_prev = gh_prev + t["Wr"].T @ gr_pre
-            gh = gh_prev
-    grads["h0"] += gh
-    if base == "lstm":
-        grads["c0"] += gc
-    return grads
+    WT = np.concatenate([t["W" + k].T for k in _STACKED[base]], axis=1,
+                        dtype=g_hs.dtype)
+    gh, gc, g_rh, buf = np.zeros((4, hid), dtype=g_hs.dtype)
+    K = np.ones_like(gates) if linear else np.concatenate(
+        [gates[:, :sig] * (1.0 - gates[:, :sig]), 1.0 - gates[:, sig:] ** 2],
+        axis=1)
+    G = np.empty_like(K, dtype=g_hs.dtype)
+    # gh and gc only change in place, so they end as the h0 and c0 gradients.
+    grads = {"W_out": grad_table.T @ hs[1:], "b_out": grad_table.sum(axis=0),
+             "h0": gh, "c0": gc}
+    if base == "rnn":
+        for g_out, k, g in zip(g_hs[::-1], K[::-1], G[::-1]):
+            gh += g_out
+            np.multiply(k, gh, out=g)
+            np.dot(WT, g, out=gh)
+    elif base == "lstm":
+        # G[s] = K[s] * (gc, gc, gh, gc); gc gains gh * kc and decays by f.
+        i, f, o, g = np.split(gates, 4, axis=1)
+        K *= np.concatenate([g, cache["cs"][:-1], cache["cts"], i], axis=1)
+        kc = o if linear else o * (1.0 - cache["cts"] ** 2)
+        for g_out, k, k_c, f_s, g in zip(
+            g_hs[::-1], K[::-1], kc[::-1], f[::-1], G[::-1]
+        ):
+            gh += g_out
+            np.multiply(gh, k_c, out=buf)
+            gc += buf
+            np.multiply(k.reshape(4, hid), gc, out=g.reshape(4, hid))
+            np.multiply(k[2 * hid:sig], gh, out=g[2 * hid:sig])
+            np.dot(WT, g, out=gh)
+            gc *= f_s
+    else:
+        # G[s] = K[s] * (gh, Wn.T @ gn, gh) with gn = G[s]'s n block.
+        z, r, n = np.split(gates, 3, axis=1)
+        K *= np.concatenate([hs[:-1] - n, hs[:-1], 1.0 - z], axis=1)
+        WnT = np.ascontiguousarray(t["Wn"].T, dtype=g_hs.dtype)
+        for g_out, k, z_s, r_s, g in zip(
+            g_hs[::-1], K[::-1], z[::-1], r[::-1], G[::-1]
+        ):
+            gh += g_out
+            np.multiply(gh, k[sig:], out=g[sig:])
+            np.dot(WnT, g[sig:], out=g_rh)
+            np.multiply(gh, k[:hid], out=g[:hid])
+            np.multiply(g_rh, k[hid:sig], out=g[hid:sig])
+            np.multiply(gh, z_s, out=buf)
+            np.dot(WT, g[:sig], out=gh)
+            gh += buf
+            np.multiply(g_rh, r_s, out=buf)
+            gh += buf
+        grads["Wn"], grads["bn"] = G[:, sig:].T @ cache["rh"], G[:, sig:].sum(0)
+    g_W, g_b = G[:, :WT.shape[1]].T @ hs[:-1], G[:, :WT.shape[1]].sum(0)
+    for k, key in enumerate(_STACKED[base]):
+        grads["W" + key] = g_W[k * hid:(k + 1) * hid]
+        grads["b" + key] = g_b[k * hid:(k + 1) * hid]
+    return {name: grads[name] for name in params.tensor_names()}
 
 
 # ---------------------------------------------------------------------------

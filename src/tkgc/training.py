@@ -43,6 +43,7 @@ from .evaluation import Metrics, evaluate
 from .models import (
     ModelParams,
     ModelSpec,
+    _TABLES,
     _check_ids,
     _cmul_conj,
     init_params,
@@ -299,8 +300,8 @@ def batch_loss(
 
     touched: dict[str, Optional[np.ndarray]] = {name: None for name in grads}
     relation_rows = np.unique(batch[:, 1])
-    for name in ("relation", "relation_temporal", "rotation"):
-        if name in grads:
+    for name, rows, _ in _TABLES[params.spec.model]:
+        if rows == "R":
             touched[name] = relation_rows
     if recurrent:
         touched["timestamp"] = np.arange(time_offset)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_params, oracle_evaluate_ranks, random_dataset
-from tkgc.core import DatasetSplits, Vocabulary
+from tkgc.core import DatasetSplits, Vocabulary, inverse_relation
 from tkgc.datasets import augment_reciprocal, build_filter_index
 from tkgc.evaluation import (
     NonFiniteScoreError,
@@ -280,4 +280,29 @@ class TestNonFiniteScores:
             table[:] = 1e120
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteScoreError, match="true answer"):
+            evaluate(params, quads, index)
+
+
+class TestInverseRelations:
+    def test_array_ids_equal_scalar_function(self, shift_splits_augmented):
+        n_rel = shift_splits_augmented.vocabulary.n_relations
+        half = n_rel // 2
+        for arr in shift_splits_augmented.splits().values():
+            ids = arr[:, 1]
+            inverse = inverse_relation(ids, n_rel)
+            assert inverse.dtype == ids.dtype
+            assert inverse.tolist() == [
+                inverse_relation(j, n_rel) for j in ids.tolist()
+            ] == [j + half if j < half else j - half for j in ids.tolist()]
+
+    def test_odd_relation_space_rejected(self):
+        params = make_params(TCOMPLEX, np.random.default_rng(0), n_relations=3)
+        quads = np.array([[0, 0, 1, 0]])
+        index = build_filter_index(DatasetSplits(
+            train=quads, valid=quads, test=quads,
+            vocabulary=Vocabulary(entities=list("abcdef"),
+                                  relations=["r", "s", "t"],
+                                  timestamps=list("vwxyz")),
+        ))
+        with pytest.raises(ValueError, match="even size"):
             evaluate(params, quads, index)

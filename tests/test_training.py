@@ -5,7 +5,7 @@ import pytest
 
 from conftest import gradient_instance, make_params
 from tkgc.models import CHRONOR, TCOMPLEX, TNTCOMPLEX, ModelParams, ModelSpec
-from tkgc.regularizers import TemporalRegSpec
+from tkgc.regularizers import RECURRENT_VARIANTS, TemporalRegSpec
 from tkgc.training import (
     NonFiniteLossError,
     TrainConfig,
@@ -267,6 +267,18 @@ class TestAdamStep:
             )
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
+
+    @pytest.mark.parametrize("variant", RECURRENT_VARIANTS)
+    def test_recurrent_deterministic_across_runs(self, shift_splits_augmented,
+                                                 variant):
+        config = _config(rank=6, epochs=2, batch_size=256, seed=5,
+                         reg=TemporalRegSpec(family="recurrent",
+                                             variant=variant, hidden_size=3))
+        runs = [train(shift_splits_augmented, config) for _ in range(2)]
+        assert runs[0][1] == runs[1][1]
+        first, second = (state.params.named_tensors() for state, _ in runs)
+        for name in first:
+            assert np.array_equal(first[name], second[name]), name
 
 
 class TestTrain:
